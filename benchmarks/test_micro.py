@@ -2,7 +2,8 @@
 
 Standard pytest-benchmark timing (many rounds) for the code the HPC
 guide says to keep vectorized: the per-ACK bitmap merge, the circular
-scan, event-loop throughput and reassembly insertion.
+scan, the sender's per-ACK cost, event-loop throughput and reassembly
+insertion.
 """
 
 import numpy as np
@@ -52,6 +53,40 @@ def test_circular_scheduler_step(benchmark):
         sched.record_sent(seq)
 
     benchmark(step)
+
+
+def test_sender_ack_then_batch(benchmark):
+    """One ACK confirming 16 new packets, then the next batch.
+
+    The sender's whole per-ACK cost mid-transfer, half the object
+    acked: the bitmap merge plus whatever the next circular sweep pays
+    for the changed ACK state, missing-list compactions included.
+    """
+    from repro.core import FobsConfig
+    from repro.core.packets import AckPacket
+    from repro.core.sender import FobsSender
+
+    sender = FobsSender(FobsConfig(), NPACKETS * 1024)
+    received = np.zeros(NPACKETS, dtype=np.bool_)
+    received[::2] = True
+    sender.resume_from(received)
+    sender.next_batch()
+    order = np.random.default_rng(0).permutation(np.flatnonzero(~received))
+    ack_ids = iter(range(NPACKETS))
+
+    def setup():
+        i = next(ack_ids)
+        received[order[16 * i:16 * (i + 1)]] = True
+        ack = AckPacket(ack_id=i, received_count=int(received.sum()),
+                        bitmap=received.copy())
+        return (ack,), {}
+
+    def step(ack):
+        sender.on_ack(ack, now=ack.ack_id * 1e-3)
+        return sender.next_batch()
+
+    batch = benchmark.pedantic(step, setup=setup, rounds=1000)
+    assert batch and sender.stats.acks_processed == 1000
 
 
 def test_engine_event_throughput(benchmark):

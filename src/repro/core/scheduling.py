@@ -10,7 +10,6 @@ are the losing strategies the ablation bench contrasts it with.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Optional, Protocol
 
 import numpy as np
@@ -52,15 +51,16 @@ class CircularScheduler:
         self._send_list: list[int] = [0] * npackets
         self._send_np = np.zeros(npackets, dtype=np.int32)
         self._send_np_dirty = False
-        # Missing-set cache keyed on the bitmap's mutation counter: the
-        # ACK state only changes between batches, so consecutive
-        # take_batch calls reuse one scan instead of O(npackets) each.
-        self._cache_version = -1
+        # Sorted missing-seq cache for batch selection.  ACKs only add
+        # packets, so the list stays a superset of the missing set
+        # between rebuilds: sweeps skip the entries acked since, and
+        # an ACK costs nothing here (see missing_list).
+        self._resets = -1
         self._missing_np: Optional[np.ndarray] = None
         self._missing_list: list[int] = []
-        # Resume point for the scalar sweep: (pointer, index) pair so a
-        # take_batch immediately following another (same ACK state, the
-        # steady-state case) skips the bisect.
+        # Resume point for FobsSender's fused sweep: (pointer, index)
+        # pair so a batch following another against the same list
+        # skips the bisect.
         self._pos_ptr = -1
         self._pos = 0
 
@@ -88,6 +88,28 @@ class CircularScheduler:
             self._ptr = 0
             self.rounds += 1
 
+    def missing_list(self, acked: PacketBitmap, exact: bool = False) -> list[int]:
+        """The cached ascending list of seqs that may still be missing.
+
+        A superset of ``acked``'s missing set whose extra entries are
+        packets acked since the last rebuild; sweeps skip them through
+        :attr:`PacketBitmap.flags`.  One ``flatnonzero`` rebuild
+        compacts it once those stale entries are more than half of it,
+        when the bitmap un-received packets (``resets``), or when
+        ``exact`` is asked for.  A compaction at least halves the list,
+        so the per-ACK Python cost is amortized O(packets newly acked),
+        not O(npackets).
+        """
+        ml = self._missing_list
+        missing = acked.missing
+        if (acked.resets != self._resets or 2 * missing < len(ml)
+                or (exact and missing != len(ml))):
+            self._missing_np = acked.missing_indices()
+            self._missing_list = ml = self._missing_np.tolist()
+            self._resets = acked.resets
+            self._pos_ptr = -1
+        return ml
+
     def take_batch(
         self, acked: PacketBitmap, size: int
     ) -> tuple[list[int], list[int]]:
@@ -99,56 +121,16 @@ class CircularScheduler:
         batch length.  Returns ``(seqs, transmission_counts)`` where the
         counts are pre-increment, exactly as the per-call path reports
         them.  ``rounds``, ``send_count`` and the pointer end up
-        bit-identical to the scalar path.
+        bit-identical to the per-call path.  :class:`FobsSender` sweeps
+        batches of up to 32 itself, fused with packet construction.
         """
         if size <= 0:
             return [], []
-        if acked.version != self._cache_version:
-            self._missing_np = acked.missing_indices()
-            self._missing_list = self._missing_np.tolist()
-            self._cache_version = acked.version
-            self._pos_ptr = -1
-        length = len(self._missing_list)
+        length = len(self.missing_list(acked, exact=True))
         if length == 0:
             return [], []
         ptr = self._ptr
         last = self.npackets - 1
-        if size <= 32:
-            # Scalar sweep over the cached list: O(log n + size), which
-            # beats the array machinery for the small batches the
-            # adaptive policy emits while the pipe is full.
-            ml = self._missing_list
-            sl = self._send_list
-            if ptr == self._pos_ptr:
-                # Consecutive batch against the same missing set: the
-                # sweep resumes exactly where the previous one stopped.
-                pos = self._pos
-            else:
-                pos = bisect_left(ml, ptr)
-            rounds = 0
-            seqs: list[int] = []
-            trans: list[int] = []
-            for _ in range(size):
-                if pos >= length:
-                    pos = 0
-                seq = ml[pos]
-                pos += 1
-                if seq < ptr:
-                    rounds += 1
-                t = sl[seq]
-                seqs.append(seq)
-                trans.append(t)
-                sl[seq] = t + 1
-                ptr = seq + 1
-                if ptr > last:
-                    ptr = 0
-                    rounds += 1
-            self._ptr = ptr
-            self._pos_ptr = ptr
-            self._pos = pos
-            self.rounds += rounds
-            self._send_np_dirty = True
-            return seqs, trans
         missing = self._missing_np
         sc = self.send_count
         k = int(np.searchsorted(missing, ptr))

@@ -109,8 +109,8 @@ class FobsSender:
         self.scheduler = make_scheduler(config.scheduler, self.npackets, rng)
         # Resolved once: schedulers exposing a vectorized batch
         # selection get the fast path in next_batch; the stock circular
-        # scheduler additionally gets its scalar sweep fused straight
-        # into packet construction (one loop per batch instead of two).
+        # scheduler's small batches are swept right here, fused with
+        # packet construction (one loop per batch instead of two).
         self._take_batch = getattr(self.scheduler, "take_batch", None)
         from repro.core.scheduling import CircularScheduler
         self._circ = (self.scheduler
@@ -162,20 +162,18 @@ class FobsSender:
         take = self._take_batch
         circ = self._circ
         if circ is not None and 0 < size <= 32:
-            # CircularScheduler.take_batch's scalar sweep fused with
-            # DataPacket construction: identical mutations in identical
-            # order, minus one call, two intermediate lists and a
-            # second zip loop per batch.
+            # The circular sweep fused with DataPacket construction: the
+            # same picks, counts and pointer as size next_seq /
+            # record_sent calls, in one loop.  The cached missing list
+            # may hold packets acked since it was built; skipping them
+            # lands on the first missing seq >= ptr, as a fresh list
+            # would.
             acked = self.acked
-            if acked.version != circ._cache_version:
-                circ._missing_np = acked.missing_indices()
-                circ._missing_list = circ._missing_np.tolist()
-                circ._cache_version = acked.version
-                circ._pos_ptr = -1
-            ml = circ._missing_list
+            ml = circ.missing_list(acked)
             length = len(ml)
             if length == 0:
                 return []
+            flags = acked.flags
             ptr = circ._ptr
             if ptr == circ._pos_ptr:
                 pos = circ._pos
@@ -194,10 +192,13 @@ class FobsSender:
             batch = []
             append = batch.append
             for _ in range(size):
-                if pos >= length:
-                    pos = 0
-                seq = ml[pos]
-                pos += 1
+                while True:
+                    if pos >= length:
+                        pos = 0
+                    seq = ml[pos]
+                    pos += 1
+                    if not flags[seq]:
+                        break
                 if seq < ptr:
                     rounds += 1
                 t = sl[seq]

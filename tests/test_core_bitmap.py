@@ -109,6 +109,24 @@ class TestSnapshotAndWire:
         with pytest.raises(ValueError):
             bm.array[0] = True
 
+    def test_flags_track_array_and_are_read_only(self):
+        bm = PacketBitmap(5)
+        bm.mark(2)
+        bm.merge(np.array([1, 0, 0, 0, 0], dtype=np.bool_))
+        assert list(bm.flags) == [True, False, True, False, False]
+        with pytest.raises(TypeError):
+            bm.flags[0] = False
+
+    def test_only_unreceiving_bumps_resets(self):
+        bm = PacketBitmap(5)
+        bm.mark(0)
+        bm.merge(np.ones(5, dtype=np.bool_))
+        assert bm.resets == 0
+        bm.clear(1)
+        assert bm.resets == 1
+        bm.demote([2, 3])
+        assert bm.resets == 2
+
     def test_bytes_roundtrip(self):
         bm = PacketBitmap(13)
         for i in (0, 5, 12):

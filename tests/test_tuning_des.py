@@ -113,7 +113,7 @@ def test_tuned_loopback_transfer_replays():
         try:
             result = run_loopback_transfer(
                 nbytes=1_500_000, config=FobsConfig(ack_frequency=16),
-                tuning=TuningConfig(epoch_interval=0.05), telemetry=bus)
+                tuning=TuningConfig(epoch_interval=0.02), telemetry=bus)
         finally:
             bus.close()
         assert result.completed and result.checksum_ok
