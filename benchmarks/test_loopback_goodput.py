@@ -10,14 +10,15 @@ same object/packet geometry as the DES throughput baseline):
 * **goodput** — delivered payload bits per wall-clock second through
   the real UDP/TCP backend (two threads, localhost).
 * **syscalls/packet** — socket-layer calls (sendto, recv, recv_into,
-  select) per data packet sent, counted by instrumenting the socket
-  class the backend uses.  The burst codec plus the receive-side
-  drain loop is what keeps this small: one encode pass and one wakeup
-  can cover a whole batch of datagrams.
+  select) per data packet sent, counted by replacing
+  ``socket.socket`` and ``select.select`` for the duration of the run.
+  The loopback transfer is the file-transfer path: one ``sendto`` per
+  datagram, one non-blocking ACK poll and one control-channel poll per
+  batch at the sender, and one blocking ``recv`` per datagram plus one
+  ``sendto`` per ACK at the receiver.
 * **allocations/packet** — net Python heap blocks allocated per
-  packet during the transfer (``sys.getallocatedblocks`` delta).  The
-  reusable receive buffer and the shared burst encode buffer are what
-  this pins down.
+  packet during the transfer (``sys.getallocatedblocks`` delta): a
+  leak per packet shows up here.
 
 Loopback wall-clock numbers move with the host, so the committed
 artifact is a baseline; the hard assertions are generous floors that
@@ -36,7 +37,6 @@ import time
 import pytest
 
 from repro.core.config import FobsConfig
-from repro.runtime import transfer as transfer_mod
 from repro.runtime.transfer import run_loopback_transfer
 
 from _bench_support import RESULTS_DIR, emit
@@ -68,9 +68,9 @@ class _CountingSocket(socket.socket):
 
 @pytest.fixture(scope="module")
 def measurements():
-    # Blast-mode geometry, like the paper's sender: big batches so the
-    # burst codec actually gets bursts (the default batch_size=2 spends
-    # the whole transfer in adaptive ramp-up and idle sleeps).
+    # Blast-mode geometry, like the paper's sender: big batches (the
+    # default batch_size=2 spends the whole transfer in adaptive
+    # ramp-up and idle sleeps).
     config = FobsConfig(packet_size=PACKET_SIZE, ack_frequency=16,
                         checksum=True, batch_size=16, max_batch_size=64)
     counters = _CountingSocket.counters
@@ -84,10 +84,10 @@ def measurements():
         select_calls += 1
         return real_select(*args, **kwargs)
 
-    orig_socket = transfer_mod.socket.socket
-    orig_sel = transfer_mod.select.select
-    transfer_mod.socket.socket = _CountingSocket
-    transfer_mod.select.select = counting_select
+    orig_socket = socket.socket
+    orig_sel = select_mod.select
+    socket.socket = _CountingSocket
+    select_mod.select = counting_select
     try:
         gc.collect()
         blocks_before = sys.getallocatedblocks()
@@ -97,8 +97,8 @@ def measurements():
         wall = time.perf_counter() - t0
         blocks_after = sys.getallocatedblocks()
     finally:
-        transfer_mod.socket.socket = orig_socket
-        transfer_mod.select.select = orig_sel
+        socket.socket = orig_socket
+        select_mod.select = orig_sel
 
     assert result.completed and result.checksum_ok
     packets = max(result.packets_sent, 1)
@@ -157,9 +157,8 @@ def test_goodput_clears_floor(measurements):
 
 
 def test_syscall_batching_holds(measurements):
-    """The burst sender and drain-loop receiver should issue a small
-    bounded number of socket calls per data packet; a return to
-    one-recv-per-wakeup or per-packet encode/send bookkeeping shows up
-    here first."""
+    """The sender and receiver loops should issue a small bounded
+    number of socket calls per data packet; extra polls or sends per
+    datagram show up here first."""
     assert measurements["syscalls"]["per_packet"] < 8, (
         "socket calls per packet grew past 8 — syscall batching broken")

@@ -154,6 +154,26 @@ def test_ack_wire_decode(benchmark):
     benchmark(wire.decode_ack, raw)
 
 
+def test_data_wire_encode(benchmark):
+    """Real-socket backend: one default-size (B=2) batch of 1 KB data
+    packets, checksummed and session-stamped, encoded per packet the
+    way both real-socket senders do."""
+    from repro.core.packets import DataPacket
+    from repro.runtime import wire
+
+    session = wire.SessionContext(transfer_id=0x5EED, epoch=1)
+    blob = bytes(range(256)) * 8
+    batch = [DataPacket(seq=s, total=NPACKETS, payload_bytes=1024)
+             for s in (100, 101)]
+
+    def encode():
+        return [wire.encode_data(pkt, blob[:1024], checksum=True,
+                                 session=session) for pkt in batch]
+
+    datagrams = benchmark(encode)
+    assert [len(d) for d in datagrams] == [1024 + 12 + 12 + 4] * 2
+
+
 def test_fobs_end_to_end_small_transfer(benchmark):
     """Whole-stack cost: one 1 MB FOBS transfer on the short haul.
 

@@ -34,9 +34,7 @@ schedule drive :class:`~repro.server.sim.SimObjectServer` specs).
 from __future__ import annotations
 
 import os
-import socket
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
@@ -127,12 +125,6 @@ class LoopbackTransport:
         self.timeout = timeout
         self._spool = tempfile.mkdtemp(prefix="repro-dataset-")
 
-    @staticmethod
-    def _free_port() -> int:
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", 0))
-            return s.getsockname()[1]
-
     def transfer(self, name: str, blob: bytes) -> Tuple[bytes,
                                                         TransportReceipt]:
         from repro.runtime import files as rt_files
@@ -141,28 +133,16 @@ class LoopbackTransport:
         dst = os.path.join(self._spool, name + ".dst")
         with open(src, "wb") as fh:
             fh.write(blob)
-        port = self._free_port()
-        ready = threading.Event()
-        box: Dict[str, object] = {}
-
-        def run_receiver() -> None:
-            box["rx"] = rt_files.receive_file(
-                dst, port, bind="127.0.0.1", timeout=self.timeout,
-                ready=ready, max_attempts=self.max_attempts,
-                config=self.config)
-
-        thread = threading.Thread(target=run_receiver, daemon=True)
-        thread.start()
-        ready.wait(5)
-        result = rt_files.send_file(
-            src, "127.0.0.1", port, config=self.config,
-            timeout=self.timeout, resume=True,
-            max_attempts=self.max_attempts)
-        thread.join(self.timeout)
-        rx = box.get("rx")
-        if not result.completed or rx is None or not rx.completed:
-            reason = result.failure_reason or (
-                rx.failure_reason if rx is not None else "receiver died")
+        with rt_files.LoopbackReceiver(
+                dst, timeout=self.timeout, max_attempts=self.max_attempts,
+                config=self.config) as receiver:
+            result = rt_files.send_file(
+                src, "127.0.0.1", receiver.port, config=self.config,
+                timeout=self.timeout, resume=True,
+                max_attempts=self.max_attempts)
+        rx = receiver.result
+        if not result.completed or not rx.completed:
+            reason = result.failure_reason or rx.failure_reason
             raise PackCorrupt(f"loopback transfer of {name} failed: "
                               f"{reason}")
         with open(dst, "rb") as fh:

@@ -2,12 +2,16 @@
 
 Drives :class:`~repro.core.sender.FobsSender` and
 :class:`~repro.core.receiver.FobsReceiver` over actual UDP/TCP sockets
-(two threads on localhost), with the byte-level wire formats in
-:mod:`repro.runtime.wire`.  This demonstrates the protocol core is a
-real implementation rather than simulator-bound; per the repro scoping
-note, the GIL and loopback mean no line-rate throughput claims are made
-from this backend — correctness (checksummed object delivery over a
-lossy-capable datagram path) is what it verifies.
+with the byte-level wire formats in :mod:`repro.runtime.wire`.  One
+blocking sender loop and one receiver loop, in
+:mod:`repro.runtime.files`, serve both the two-process file transfer
+(:func:`send_file`/:func:`receive_file`) and the in-process loopback
+run (:func:`run_loopback_transfer`, both ends on 127.0.0.1).  This
+demonstrates the protocol core is a real implementation rather than
+simulator-bound; per the repro scoping note, the GIL and loopback mean
+no line-rate throughput claims are made from this backend —
+correctness (checksummed object delivery over a lossy-capable datagram
+path) is what it verifies.
 """
 
 from repro.runtime.wire import (

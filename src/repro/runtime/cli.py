@@ -37,7 +37,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.config import FobsConfig
-from repro.runtime.files import receive_file, send_file
+from repro.runtime.files import listen_control, receive_file, send_file
 
 
 def info(args: argparse.Namespace, message: str) -> None:
@@ -108,7 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hardening_flags(send)
 
     recv = sub.add_parser("recv", help="receive one file")
-    recv.add_argument("--port", type=int, required=True)
+    recv.add_argument("--port", type=int, required=True,
+                      help="TCP control port (0: any free port, "
+                           "reported on stderr)")
     recv.add_argument("--output", required=True)
     recv.add_argument("--bind", default="0.0.0.0")
     recv.add_argument("--timeout", type=float, default=120.0)
@@ -169,8 +171,10 @@ def _cmd_send(args: argparse.Namespace) -> int:
 def _cmd_recv(args: argparse.Namespace) -> int:
     config = _config_from(args, ack_frequency=32)
     try:
+        listener = listen_control(args.bind, args.port)
+        info(args, f"listening on {args.bind}:{listener.getsockname()[1]}")
         result = receive_file(args.output, args.port, bind=args.bind,
-                              timeout=args.timeout,
+                              listener=listener, timeout=args.timeout,
                               max_attempts=max(args.max_attempts,
                                                2 if args.resume else 1),
                               journal_path=args.journal_path,

@@ -54,7 +54,7 @@ from repro.core.manifest import (
     VerifyStats,
     corrupt_ranges,
 )
-from repro.core.receiver import FobsReceiver
+from repro.core.receiver import FobsReceiver, ReceiverStats
 from repro.core.sender import FobsSender
 from repro.runtime import wire
 from repro.runtime.supervisor import (
@@ -122,6 +122,8 @@ class FileTransferResult:
     bytes_refetched: int = 0
     verify_seconds: float = 0.0
     storage_faults: int = 0
+    #: The last attempt's receiver-core counters (receiver side only).
+    receiver_stats: Optional[ReceiverStats] = None
 
 
 def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
@@ -164,6 +166,8 @@ class _SendOutcome:
     retransmissions: int = 0
     resumed_packets: int = 0
     stale_epoch_dropped: int = 0
+    #: The attempt's sender core, for callers that report its counters.
+    sender: Optional[FobsSender] = None
 
 
 def _send_attempt(
@@ -180,8 +184,13 @@ def _send_attempt(
     drop_rate: float = 0.0,
     corrupt_rate: float = 0.0,
     fault_seed: int = 0,
+    tuning: Optional["TuningConfig"] = None,
 ) -> _SendOutcome:
-    """Run one connect→offer→blast attempt; never raises on failure."""
+    """Run one connect→offer→blast attempt; never raises on failure.
+
+    Batches are paced on ``sender.pacing_rate_bps`` when it is set;
+    ``tuning`` attaches a tuner that drives that rate and the batch size.
+    """
     deadline = time.monotonic() + timeout
     drop_rng = np.random.default_rng(fault_seed + 1)
     corrupt_rng = np.random.default_rng(fault_seed + 2)
@@ -207,6 +216,9 @@ def _send_attempt(
                      packet_size=config.packet_size,
                      ack_frequency=config.ack_frequency, backend="runtime",
                      role="sender")
+    tuner = None
+    if tuning is not None:
+        tuner = _sender_tuner(sender, config, tuning, telemetry, tid, epoch)
     start = time.monotonic()
     try:
         with socket.create_connection((host, port), timeout=timeout) as ctrl:
@@ -245,6 +257,8 @@ def _send_attempt(
             ctrl.setblocking(False)
             start = time.monotonic()
             completion_seen = False
+            # Pacing clock: earliest time the next batch may go out.
+            next_send = 0.0
             while not sender.complete:
                 now = time.monotonic()
                 if now > deadline:
@@ -254,12 +268,22 @@ def _send_attempt(
                 if stall == "abort":
                     return _outcome(sender, start, sender.failure_reason,
                                     telemetry=channel)
-                if stall == "probe":
+                rate = sender.pacing_rate_bps
+                paced = rate is not None and now < next_send
+                if paced:
+                    # Ahead of schedule.  Sleep in short slices, never
+                    # the full deficit, so a tuner rate raise applied
+                    # mid-wait takes effect within ~20 ms.
+                    time.sleep(min(next_send - now, 0.02))
+                    batch = []
+                elif stall == "probe":
                     batch = sender.probe_batch()
                 elif stall == "wait":
                     batch = []
                 else:
                     batch = sender.next_batch()
+                if batch and tuner is not None:
+                    tuner.maybe_probe(batch[0].seq, now)
                 if kill is not None and kill.should_fire(
                         sender.stats.packets_sent):
                     # Crash injection: the sender process dies silently
@@ -271,6 +295,7 @@ def _send_attempt(
                         f"sender killed by crash injection after "
                         f"{sender.stats.packets_sent} data packets",
                         crashed="sender", telemetry=channel)
+                sent_bytes = 0
                 for pkt in batch:
                     off = pkt.seq * config.packet_size
                     payload = data[off:off + pkt.payload_bytes]
@@ -288,6 +313,9 @@ def _send_attempt(
                         damaged[pos] ^= 0xFF
                         datagram = bytes(damaged)
                     data_sock.sendto(datagram, data_addr)
+                    sent_bytes += len(datagram)
+                if rate is not None and sent_bytes:
+                    next_send = max(next_send, now) + sent_bytes * 8.0 / rate
                 try:
                     ack = wire.decode_ack(ack_sock.recv(1 << 20),
                                           checksum=config.checksum,
@@ -299,6 +327,8 @@ def _send_attempt(
                     sender.on_corrupt_ack()
                 except (wire.StaleEpochError, wire.SessionMismatchError):
                     sender.on_stale_ack()
+                if tuner is not None:
+                    tuner.on_ack(sender, time.monotonic())
                 try:
                     msg = ctrl.recv(64)
                     if msg:
@@ -323,7 +353,7 @@ def _send_attempt(
                     return _outcome(sender, start,
                                     "control connection lost mid-transfer",
                                     telemetry=channel)
-                if not batch and not sender.complete:
+                if not batch and not paced and not sender.complete:
                     time.sleep(0.001)
             if (resumable and not completion_seen
                     and sender.stats.completion_timeouts):
@@ -363,6 +393,7 @@ def _outcome(
         retransmissions=sender.stats.retransmissions,
         resumed_packets=sender.stats.resumed_packets,
         stale_epoch_dropped=sender.stats.stale_epoch_acks,
+        sender=sender,
     )
     if telemetry.enabled:
         telemetry.emit(
@@ -376,6 +407,33 @@ def _outcome(
             resumed_packets=outcome.resumed_packets,
             failure_reason=failure_reason or "")
     return outcome
+
+
+def _sender_tuner(sender: FobsSender, config: FobsConfig,
+                  tuning: "TuningConfig", telemetry: Optional[EventBus],
+                  tid: int, epoch: int):
+    """Sender-side tuner: drives the pacing rate and the batch size.
+
+    The ACK frequency F belongs to the receiving end, which runs its
+    own tuner (:func:`_receive_attempt`).
+    """
+    from repro.core.rate import FixedBatchPolicy
+    from repro.tuning import TransferTuner
+
+    channel = NULL_CHANNEL
+    if telemetry is not None and telemetry.enabled:
+        channel = telemetry.channel(transfer_id=tid, epoch=epoch,
+                                    src="tuner")
+    policy = sender.batch_policy
+    set_batch = None
+    if isinstance(policy, FixedBatchPolicy):
+        def set_batch(b: int, p=policy) -> None:
+            p.batch_size = b
+    return TransferTuner(tuning, set_rate=sender.set_pacing_rate,
+                         set_batch_size=set_batch, telemetry=channel,
+                         rate_bps=sender.pacing_rate_bps,
+                         ack_frequency=config.ack_frequency,
+                         batch_size=config.batch_size)
 
 
 def send_file(
@@ -411,10 +469,10 @@ def send_file(
 
     ``drop_rate`` discards that fraction of outgoing data datagrams
     (deterministic RNG) and ``corrupt_rate`` flips one byte in that
-    fraction instead — the same sender-side network-chaos knobs as
-    :func:`repro.runtime.transfer.run_loopback_transfer`, here for the
-    file-transfer stack (``repro.chaos`` composes them with host-side
-    storage faults).
+    fraction instead: sender-side network chaos, which ``repro.chaos``
+    composes with host-side storage faults and
+    :func:`repro.runtime.transfer.run_loopback_transfer` exposes for
+    in-process runs.
     """
     config = config if config is not None else FobsConfig(ack_frequency=32)
     with open(path, "rb") as fh:
@@ -583,8 +641,16 @@ def _receive_attempt(
     telemetry: Optional[EventBus] = None,
     tuning: Optional["TuningConfig"] = None,
     stats_interval: float = 0.0,
+    kill=None,
+    blackhole_acks: bool = False,
 ) -> tuple[bool, Optional[str], FobsReceiver]:
-    """Serve one accepted control connection; returns (ok, reason, rx)."""
+    """Serve one accepted control connection; returns (ok, reason, rx).
+
+    ``kill`` (a receiver-target :class:`~repro.simnet.faults.KillSwitch`)
+    simulates a process death after that many data packets: the
+    journal's unflushed run is lost and the attempt ends silently.
+    ``blackhole_acks`` sends no ACK at all.
+    """
     session = (wire.SessionContext(offer.transfer_id, offer.epoch)
                if offer.resumable else None)
     if telemetry is not None and telemetry.enabled:
@@ -631,6 +697,7 @@ def _receive_attempt(
                                       data_sock.getsockname()[1], 0))
         start = time.monotonic()
         next_report = start + stats_interval if stats_interval > 0 else None
+        ndata = 0  # data datagrams decoded, for crash injection
         while not receiver.complete:
             now = time.monotonic()
             if tuner is not None:
@@ -665,6 +732,12 @@ def _receive_attempt(
                 datagram = data_sock.recv(65535)
             except socket.timeout:
                 continue
+            if kill is not None and kill.should_fire(ndata):
+                kill.fire(now)
+                if journal is not None:
+                    journal.simulate_crash()
+                return False, (f"receiver killed by crash injection after "
+                               f"{ndata} data packets"), receiver
             try:
                 pkt, payload = wire.decode_data(datagram,
                                                 checksum=config.checksum,
@@ -675,6 +748,7 @@ def _receive_attempt(
             except (wire.StaleEpochError, wire.SessionMismatchError):
                 receiver.on_stale_data(0)
                 continue  # zombie datagram from a dead attempt
+            ndata += 1
             # Data before log: the payload must be on "disk" before the
             # journal claims it (on_data journals newly marked packets).
             try:
@@ -687,7 +761,7 @@ def _receive_attempt(
                 # holds everything durable so far; the supervisor
                 # retries with backoff and resumes from it.
                 return False, _storage_reason("part", exc), receiver
-            if ack is not None:
+            if ack is not None and not blackhole_acks:
                 ack_sock.sendto(
                     wire.encode_ack(ack, checksum=config.checksum,
                                     session=session),
@@ -862,6 +936,8 @@ def receive_offer(
     manifest: Optional[ChunkManifest] = None,
     tuning: Optional["TuningConfig"] = None,
     stats_interval: float = 0.0,
+    kill=None,
+    blackhole_acks: bool = False,
 ) -> tuple[bool, Optional[str], Optional[FobsReceiver], float, VerifyStats]:
     """Serve one already-negotiated offer as the receiving endpoint.
 
@@ -886,7 +962,9 @@ def receive_offer(
     surface as ``storage fault`` failures, never exceptions.
 
     ``opener`` is the part-file factory (``open``-compatible) — the
-    seam host-fault injection plugs into.
+    seam host-fault injection plugs into.  ``kill`` and
+    ``blackhole_acks`` go to :func:`_receive_attempt`; a blackholed
+    receiver also withholds the completion signal.
     """
     if journal_path is None:
         journal_path = output_path + ".journal"
@@ -958,7 +1036,8 @@ def receive_offer(
                         ctrl, peer, offer, attempt_config, part_fh,
                         journal, resume_bitmap, bind, deadline,
                         telemetry=telemetry, tuning=tuning,
-                        stats_interval=stats_interval)
+                        stats_interval=stats_interval, kill=kill,
+                        blackhole_acks=blackhole_acks)
                     if ok:
                         # Verify-on-complete: the receiver's bitmap says
                         # every packet arrived; the disk gets the last
@@ -998,10 +1077,11 @@ def receive_offer(
             failure_reason=failure or "")
     if not (ok and blessed):
         return False, failure, receiver, duration, vstats
-    try:
-        ctrl.sendall(wire.encode_completion(receiver.npackets))
-    except OSError:
-        pass  # sender may already have concluded
+    if not blackhole_acks:
+        try:
+            ctrl.sendall(wire.encode_completion(receiver.npackets))
+        except OSError:
+            pass  # sender may already have concluded
     os.replace(part_path, output_path)
     if offer.resumable:
         try:
@@ -1011,22 +1091,32 @@ def receive_offer(
     return True, None, receiver, duration, vstats
 
 
+def listen_control(bind: str, port: int) -> socket.socket:
+    """Bind and listen on a receiver's TCP control port (0 = any free)."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind((bind, port))
+    listener.listen(1)
+    return listener
+
+
 def receive_file(
     output_path: str,
     port: int,
     bind: str = "0.0.0.0",
     timeout: float = 120.0,
-    ready: Optional[threading.Event] = None,
     max_attempts: int = 1,
     journal_path: Optional[str] = None,
     config: Optional[FobsConfig] = None,
     opener=open,
+    listener: Optional[socket.socket] = None,
 ) -> FileTransferResult:
     """Accept one file from a :func:`send_file` peer; returns on completion.
 
-    ``ready`` (a :class:`threading.Event`), when given, is set once the
-    control port is listening — lets tests start the sender without
-    racing the bind.
+    ``listener``, when given, is an already-listening control socket
+    (from :func:`listen_control`) used instead of binding
+    ``bind:port``; it is closed on return.  :class:`LoopbackReceiver`
+    runs this on a thread for a sender in the same process.
 
     ``max_attempts`` keeps the control port listening across failed
     attempts: when a resumable sender crashes (or the connection is
@@ -1037,17 +1127,39 @@ def receive_file(
     data-plane parameters (packet size, checksumming) always come from
     the sender's offer.
     """
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((bind, port))
-    listener.listen(1)
+    if listener is None:
+        listener = listen_control(bind, port)
+    result = _serve(listener, output_path, bind, timeout, max_attempts,
+                    journal_path, config, opener)
+    if max_attempts <= 1 and not result.completed:
+        raise TimeoutError(f"file receive failed: {result.failure_reason}")
+    return result
+
+
+def _serve(
+    listener: socket.socket,
+    output_path: str,
+    bind: str,
+    timeout: float,
+    max_attempts: int,
+    journal_path: Optional[str],
+    config: Optional[FobsConfig],
+    opener,
+    kill=None,
+    blackhole_acks: bool = False,
+) -> FileTransferResult:
+    """The body of :func:`receive_file`: accept and serve up to
+    ``max_attempts`` offers on ``listener``, then close it.
+
+    Protocol failures are returned (``completed=False``), not raised.
+    A listener shut down from another thread ends the wait for the
+    next attempt at once.
+    """
     listener.settimeout(timeout)
-    if ready is not None:
-        ready.set()
     deadline = time.monotonic() + timeout
 
     attempts = 0
-    failure: Optional[str] = None
+    ok, failure = False, None
     receiver: Optional[FobsReceiver] = None
     offer: Optional[Offer] = None
     duration = 1e-9
@@ -1061,6 +1173,9 @@ def receive_file(
             except socket.timeout:
                 failure = "timed out waiting for a sender connection"
                 break
+            except OSError:  # shut down: no sender will connect again
+                failure = failure or "no sender connected"
+                break
             with ctrl:
                 ctrl.settimeout(timeout)
                 try:
@@ -1071,39 +1186,21 @@ def receive_file(
                 ok, failure, receiver, duration, vstats = receive_offer(
                     ctrl, peer, offer, output_path, deadline,
                     config=config, journal_path=journal_path, bind=bind,
-                    opener=opener)
+                    opener=opener, kill=kill, blackhole_acks=blackhole_acks)
                 vtotal.merge(vstats)
                 if is_storage_fault(failure):
                     storage_faults += 1
-                if ok:
-                    return FileTransferResult(
-                        path=output_path,
-                        nbytes=offer.filesize,
-                        duration=duration,
-                        throughput_bps=offer.filesize * 8.0 / duration,
-                        crc_ok=True,
-                        attempts=attempts,
-                        resumed_packets=receiver.stats.resumed_packets,
-                        stale_epoch_dropped=receiver.stats.stale_epoch_data,
-                        ranges_demoted=vtotal.ranges_demoted,
-                        packets_demoted=vtotal.chunks_corrupt,
-                        bytes_refetched=vtotal.bytes_demoted,
-                        verify_seconds=vtotal.duration,
-                        storage_faults=storage_faults,
-                    )
-                if time.monotonic() > deadline:
+                if ok or time.monotonic() > deadline:
                     break
     finally:
         listener.close()
-    if max_attempts <= 1:
-        raise TimeoutError(f"file receive failed: {failure}")
     return FileTransferResult(
         path=output_path,
         nbytes=offer.filesize if offer is not None else 0,
         duration=duration,
-        throughput_bps=0.0,
-        crc_ok=False,
-        completed=False,
+        throughput_bps=offer.filesize * 8.0 / duration if ok else 0.0,
+        crc_ok=ok,
+        completed=ok,
         failure_reason=failure,
         attempts=attempts,
         resumed_packets=(receiver.stats.resumed_packets
@@ -1115,4 +1212,62 @@ def receive_file(
         bytes_refetched=vtotal.bytes_demoted,
         verify_seconds=vtotal.duration,
         storage_faults=storage_faults,
+        receiver_stats=receiver.stats if receiver is not None else None,
     )
+
+
+class LoopbackReceiver(threading.Thread):
+    """:func:`receive_file` on a thread, for a sender in this process.
+
+    The control listener is bound to 127.0.0.1 port 0 in the
+    constructor, so :attr:`port` — the kernel's choice — is live before
+    the sender dials: no fixed port, no probe-then-close race::
+
+        with LoopbackReceiver(out_path, max_attempts=3) as rx:
+            send_file(src_path, "127.0.0.1", rx.port, resume=True)
+        rx.result   # the receiver's FileTransferResult
+
+    Leaving the block shuts the listener down (a receiver waiting for
+    a retry that will never come returns at once) and joins the thread.
+    It raises if the thread failed or outlived ``timeout``.  Failures
+    are reported in :attr:`result`, never raised, whatever
+    ``max_attempts`` is.  ``kill`` and ``blackhole_acks`` are the
+    receiver-side fault hooks of :func:`receive_offer`.
+    """
+
+    def __init__(self, output_path: str, timeout: float = 120.0,
+                 max_attempts: int = 1, journal_path: Optional[str] = None,
+                 config: Optional[FobsConfig] = None, opener=open,
+                 kill=None, blackhole_acks: bool = False):
+        super().__init__(name="fobs-receiver", daemon=True)
+        self._listener = listen_control("127.0.0.1", 0)
+        self.port: int = self._listener.getsockname()[1]
+        self._args = (self._listener, output_path, "127.0.0.1", timeout,
+                      max_attempts, journal_path, config, opener, kill,
+                      blackhole_acks)
+        self._timeout = timeout
+        self.result: Optional[FileTransferResult] = None
+        self.error: Optional[BaseException] = None
+
+    def run(self) -> None:
+        try:
+            self.result = _serve(*self._args)
+        except BaseException as exc:  # re-raised by __exit__
+            self.error = exc
+
+    def __enter__(self) -> "LoopbackReceiver":
+        self.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed by a finished receiver
+        self.join(self._timeout + 10)
+        if exc_type is not None:
+            return  # the sender's exception takes precedence
+        if self.is_alive():
+            raise TimeoutError("loopback receiver did not finish")
+        if self.error is not None:
+            raise RuntimeError("loopback receiver failed") from self.error

@@ -20,7 +20,9 @@ through the concrete backends:
   (:class:`~repro.core.session.FobsTransfer` on a fresh simulated
   network per attempt);
 * :func:`run_resumable_loopback` — the real-socket loopback runtime
-  (:func:`~repro.runtime.transfer.run_loopback_transfer`).
+  (:func:`~repro.runtime.transfer.run_loopback_transfer`), which is the
+  file-transfer session of ``repro.runtime.files`` with both ends in
+  one process.
 
 Both persist the receiver bitmap through a
 :class:`~repro.core.journal.ReceiverJournal` and seed each retry with
@@ -33,6 +35,7 @@ handshake on the control connection.
 from __future__ import annotations
 
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -248,27 +251,6 @@ class TransferSupervisor:
 # Backend drivers
 # ----------------------------------------------------------------------
 
-def _scrub_unjournaled(
-    buffer: bytearray,
-    resume: Optional[np.ndarray],
-    packet_size: int,
-    nbytes: int,
-) -> None:
-    """Zero buffer regions the journal never confirmed durable.
-
-    A real crash loses writes that never reached stable storage; the
-    journal's data-before-log ordering guarantees only *journaled*
-    packets survive.  Scrubbing everything else before a resumed
-    attempt makes that contract load-bearing: a resumed transfer that
-    leaned on unjournaled bytes would fail its end-to-end checksum.
-    """
-    for seq in range(-(-nbytes // packet_size)):
-        if resume is None or not resume[seq]:
-            start = seq * packet_size
-            end = min(start + packet_size, nbytes)
-            buffer[start:end] = bytes(end - start)
-
-
 def kill_for_attempt(kill_plan, attempt: int) -> Optional[KillSwitch]:
     """Resolve the crash plan for one attempt.
 
@@ -355,48 +337,42 @@ def run_resumable_loopback(
 ) -> SupervisedResult:
     """Supervised transfer over real loopback sockets.
 
-    Each attempt runs the two-thread loopback backend with a
+    Each attempt is one loopback run of the file-transfer path
+    (:func:`~repro.runtime.transfer.run_loopback_transfer`) with a
     :class:`~repro.runtime.wire.SessionContext` stamping every datagram
-    with ``(transfer_id, epoch)`` — stale-epoch datagrams from a killed
-    attempt are rejected on arrival.  The receiver's buffer (the "disk
-    file") survives across attempts, but only journal-confirmed packets
-    are trusted: anything received after the journal's last flush is
-    re-sent.  The returned result's ``final`` field is the last
-    attempt's :class:`~repro.runtime.transfer.LoopbackResult`.
+    with ``(transfer_id, epoch)``, so stale-epoch datagrams from a
+    killed attempt are rejected on arrival.  The receiver's ``.part``
+    file and its journal at ``journal_path`` survive across attempts;
+    each retry's RESUME bitmap is the journal's replay, so anything
+    received after the journal's last flush is re-sent.  The returned
+    result's ``final`` field is the last attempt's
+    :class:`~repro.runtime.transfer.LoopbackResult`.
+
+    The file path's journal flushes every 16 packets and is deleted on
+    completion, so ``flush_every`` and ``keep_journal`` accept only
+    those defaults (they exist for symmetry with
+    :func:`run_resumable_fobs_transfer`).
     """
     from repro.runtime import wire
-    from repro.runtime.transfer import run_loopback_transfer
+    from repro.runtime.transfer import loopback_attempt, loopback_object
 
+    if flush_every != 16 or keep_journal:
+        raise ValueError("the loopback journal flushes every 16 packets "
+                         "and is deleted on completion")
     config = config if config is not None else FobsConfig(ack_frequency=32)
-    if data is None:
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
-    buffer = bytearray(nbytes)
+    data = loopback_object(nbytes, seed, data)
 
-    def attempt_fn(attempt: int, epoch: int):
-        journal, replay = ReceiverJournal.open(
-            journal_path, transfer_id, nbytes, config.packet_size,
-            flush_every=flush_every)
-        resume = replay.bitmap.array if replay is not None else None
-        if attempt > 0:
-            _scrub_unjournaled(buffer, resume, config.packet_size, nbytes)
-        return run_loopback_transfer(
-            nbytes=nbytes, config=config, seed=seed + attempt,
-            timeout=timeout, data=data, journal=journal,
-            resume_bitmap=resume,
-            session=wire.SessionContext(transfer_id, epoch),
-            kill=kill_for_attempt(kill_plan, attempt),
-            buffer=buffer,
-        )
+    with tempfile.TemporaryDirectory(prefix="fobs-loopback-") as workdir:
+        def attempt_fn(attempt: int, epoch: int):
+            return loopback_attempt(
+                data, config, workdir,
+                session=wire.SessionContext(transfer_id, epoch),
+                kill=kill_for_attempt(kill_plan, attempt),
+                journal_path=journal_path, seed=seed + attempt,
+                timeout=timeout)
 
-    supervisor = TransferSupervisor(policy=policy, sleep=sleep)
-    result = supervisor.run(attempt_fn, npackets=config.npackets(nbytes))
-    if result.completed and not keep_journal:
-        try:
-            os.remove(journal_path)
-        except OSError:
-            pass
-    return result
+        supervisor = TransferSupervisor(policy=policy, sleep=sleep)
+        return supervisor.run(attempt_fn, npackets=config.npackets(nbytes))
 
 
 __all__ = [

@@ -1125,18 +1125,13 @@ class ObjectServer:
                 return 0.002  # all packets out; waiting on ACK/completion
             if entry.tuner is not None:
                 entry.tuner.maybe_probe(batch[0].seq, now)
-            # One codec pass for the whole batch: headers scattered
-            # vectorized, payloads sliced zero-copy from the object
-            # blob, one shared output buffer backing every datagram the
-            # pacer will release.
             psize = entry.config.packet_size
-            blob = memoryview(entry.data)
-            payloads = [blob[pkt.seq * psize:
-                             pkt.seq * psize + pkt.payload_bytes]
-                        for pkt in batch]
-            entry.pending.extend(wire.encode_data_burst(
-                batch, payloads, checksum=entry.config.checksum,
-                session=entry.session))
+            data = entry.data
+            for pkt in batch:
+                off = pkt.seq * psize
+                entry.pending.append(wire.encode_data(
+                    pkt, data[off:off + pkt.payload_bytes],
+                    checksum=entry.config.checksum, session=entry.session))
 
     # ------------------------------------------------------------------
     # Completion / failure

@@ -20,7 +20,6 @@ restart.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,7 +32,7 @@ from repro.chaos import (
     run_chaos_transfer,
 )
 from repro.core.config import FobsConfig
-from repro.runtime.files import receive_file, send_file
+from repro.runtime.files import LoopbackReceiver, send_file
 from repro.simnet.faults import KillSwitch
 
 pytestmark = [pytest.mark.loopback, pytest.mark.chaos]
@@ -164,22 +163,6 @@ def _config():
                       receiver_idle_timeout=1.5)
 
 
-def _spawn_receiver(out, port, attempts=3):
-    ready = threading.Event()
-    result = {}
-
-    def recv():
-        result["recv"] = receive_file(str(out), port, bind="127.0.0.1",
-                                      ready=ready, timeout=60.0,
-                                      max_attempts=attempts,
-                                      config=_config())
-
-    thread = threading.Thread(target=recv, daemon=True)
-    thread.start()
-    assert ready.wait(10)
-    return thread, result
-
-
 def _send_once(src, port, kill_after=0):
     kill_plan = ({0: KillSwitch(target="sender", after_packets=kill_after)}
                  if kill_after else None)
@@ -205,39 +188,40 @@ class TestResumeBeatsRestart:
     """Acceptance: a verify-demoted resume re-sends strictly fewer
     packets than a full restart of the same interrupted transfer."""
 
-    def _interrupted_first_attempt(self, tmp_path, port):
-        data = np.random.default_rng(12).integers(
-            0, 256, NBYTES, dtype=np.uint8).tobytes()
-        src = tmp_path / "src.bin"
+    def _interrupted_transfer(self, tmp, data, between_attempts):
+        """Kill the first attempt at packet 120, run ``between_attempts``
+        at the attempt boundary, then resume; one receiver throughout."""
+        src = tmp / "src.bin"
         src.write_bytes(data)
-        out = tmp_path / "out.bin"
-        thread, result = _spawn_receiver(out, port)
-        first = _send_once(src, port, kill_after=120)
-        assert not first.completed
-        _wait_attempt_boundary()
-        return data, src, out, thread, result, first
+        out = tmp / "out.bin"
+        with LoopbackReceiver(str(out), timeout=60.0, max_attempts=3,
+                              config=_config()) as rx:
+            first = _send_once(src, rx.port, kill_after=120)
+            assert not first.completed
+            _wait_attempt_boundary()
+            between_attempts(tmp)
+            second = _send_once(src, rx.port)
+        assert out.read_bytes() == data
+        return first, second, rx.result
 
     def test_demoted_resume_beats_full_restart(self, tmp_path):
-        port = 39431
-        data, src, out, thread, result, first = \
-            self._interrupted_first_attempt(tmp_path, port)
+        data = np.random.default_rng(12).integers(
+            0, 256, NBYTES, dtype=np.uint8).tobytes()
 
-        # Storage chaos between attempts: corrupt journal-claimed bytes
-        # in the .part file (deterministic offsets inside the first 120
-        # packets, which attempt 1 delivered).
-        part = tmp_path / "out.bin.part"
-        assert part.exists()
-        blob = bytearray(part.read_bytes())
-        for seq in (5, 6, 40):
-            blob[seq * PACKET + 11] ^= 0xFF
-        part.write_bytes(bytes(blob))
+        def corrupt_part(tmp):
+            # Storage chaos between attempts: corrupt journal-claimed
+            # bytes in the .part file (deterministic offsets inside the
+            # first 120 packets, which attempt 1 delivered).
+            part = tmp / "out.bin.part"
+            assert part.exists()
+            blob = bytearray(part.read_bytes())
+            for seq in (5, 6, 40):
+                blob[seq * PACKET + 11] ^= 0xFF
+            part.write_bytes(bytes(blob))
 
-        second = _send_once(src, port)
-        thread.join(30)
-        assert not thread.is_alive()
-        recv = result["recv"]
+        first, second, recv = self._interrupted_transfer(
+            tmp_path, data, corrupt_part)
         assert second.completed and recv.completed
-        assert out.read_bytes() == data
         # Verify-on-resume demoted the corrupted chunks...
         assert recv.packets_demoted >= 3
         assert recv.ranges_demoted >= 2  # {5,6} coalesce, {40} is alone
@@ -249,23 +233,16 @@ class TestResumeBeatsRestart:
 
         # Full restart on the SAME seed and kill point: sever the
         # journal so attempt 2 starts from scratch.
-        port2 = 39432
+        def sever_journal(tmp):
+            for stale in (tmp / "out.bin.part", tmp / "out.bin.journal"):
+                if stale.exists():
+                    stale.unlink()
+
         tmp2 = tmp_path / "restart"
         tmp2.mkdir()
-        src2 = tmp2 / "src.bin"
-        src2.write_bytes(data)
-        out2 = tmp2 / "out.bin"
-        thread2, result2 = _spawn_receiver(out2, port2)
-        first2 = _send_once(src2, port2, kill_after=120)
-        assert not first2.completed
-        _wait_attempt_boundary()
-        for stale in (tmp2 / "out.bin.part", tmp2 / "out.bin.journal"):
-            if stale.exists():
-                stale.unlink()
-        second2 = _send_once(src2, port2)
-        thread2.join(30)
-        assert second2.completed and result2["recv"].completed
-        assert out2.read_bytes() == data
+        first2, second2, recv2 = self._interrupted_transfer(
+            tmp2, data, sever_journal)
+        assert second2.completed and recv2.completed
         restart_total = _first_sends(first2) + _first_sends(second2)
 
         assert resumed_total < restart_total, (

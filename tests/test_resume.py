@@ -10,7 +10,6 @@ datagram from a previous attempt never lands in the resumed object.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -260,9 +259,9 @@ class TestLoopbackResume:
             sleep=None, seed=9, data=data, timeout=30.0)
         assert result.completed
         assert result.attempt_records[0].crashed == target
-        # checksum_ok is the byte-identity proof: the supervisor scrubs
-        # unjournaled buffer regions between attempts, so only the
-        # journal + retransmissions can have produced these bytes.
+        # checksum_ok is the byte-identity proof: the resumed attempt
+        # reassembles into the crashed attempt's .part file, trusting
+        # only what the journal vouches for.
         assert result.final.checksum_ok
         if target == "receiver":
             # The receiver journaled before dying: progress salvaged.
@@ -370,51 +369,51 @@ class TestStaleEpoch:
             wire.decode_ack(wire.encode_ack(ack, session=stale),
                             session=current)
 
-    def test_stale_datagram_never_lands_in_loopback_object(self):
+    def test_stale_datagram_never_lands_in_loopback_object(
+        self, tmp_path, monkeypatch
+    ):
         """End to end: zombie datagrams are counted, never applied."""
-        from repro.runtime.transfer import _Receiver, _Sender
+        import socket as socket_mod
+        import zlib
+
+        from repro.core.packets import DataPacket
+        from repro.runtime import files
 
         config = loop_config()
         rng = np.random.default_rng(4)
         data = rng.integers(0, 256, size=100_000, dtype=np.uint8).tobytes()
         current = wire.SessionContext(transfer_id=55, epoch=3)
         zombie = wire.SessionContext(transfer_id=55, epoch=2)
-        deadline = time.monotonic() + 30.0
-        receiver = _Receiver(config, len(data), data_port=0,
-                             ack_addr=("127.0.0.1", 0),
-                             ctrl_addr=("127.0.0.1", 0), deadline=deadline,
-                             session=current)
-        sender = _Sender(config, data,
-                         data_addr=("127.0.0.1", receiver.data_port),
-                         ack_port=0, deadline=deadline, session=current)
-        receiver._ack_addr = ("127.0.0.1", sender.ack_port)
-        receiver._ctrl_addr = sender.ctrl_addr
-
-        # Queue zombie datagrams from the "previous attempt" carrying
-        # garbage payloads at in-range sequence numbers.
-        import socket as socket_mod
-
-        zombie_sock = socket_mod.socket(socket_mod.AF_INET,
-                                        socket_mod.SOCK_DGRAM)
-        from repro.core.packets import DataPacket
-
         npackets = config.npackets(len(data))
-        for seq in range(5):
-            pkt = DataPacket(seq=seq, total=npackets,
-                             payload_bytes=config.packet_size,
-                             transmission=0)
-            zombie_sock.sendto(
-                wire.encode_data(pkt, b"\xff" * config.packet_size,
-                                 checksum=config.checksum, session=zombie),
-                ("127.0.0.1", receiver.data_port))
-        zombie_sock.close()
+        decode_resume = wire.decode_resume
 
-        receiver.start()
-        sender.start()
-        sender.join(timeout=35)
-        receiver.join(timeout=5)
-        assert sender.error is None and receiver.error is None
-        assert receiver.receiver.complete
-        assert receiver.receiver.stats.stale_epoch_data >= 1
+        def resume_then_zombies(message):
+            # Once the receiver has bound this attempt's data socket,
+            # queue datagrams from the "previous attempt" carrying
+            # garbage payloads at in-range sequence numbers, ahead of
+            # the sender's first real datagram.
+            info = decode_resume(message)
+            with socket_mod.socket(socket_mod.AF_INET,
+                                   socket_mod.SOCK_DGRAM) as zsock:
+                for seq in range(5):
+                    pkt = DataPacket(seq=seq, total=npackets,
+                                     payload_bytes=config.packet_size,
+                                     transmission=0)
+                    zsock.sendto(
+                        wire.encode_data(pkt, b"\xff" * config.packet_size,
+                                         checksum=config.checksum,
+                                         session=zombie),
+                        ("127.0.0.1", info.data_port))
+            return info
+
+        monkeypatch.setattr(wire, "decode_resume", resume_then_zombies)
+        out = tmp_path / "object"
+        with files.LoopbackReceiver(str(out), timeout=30.0,
+                                    config=config) as rx:
+            sent = files._send_attempt(
+                data, zlib.crc32(data), "127.0.0.1", rx.port, config, 30.0,
+                session=current)
+        assert sent.completed and rx.result.completed
+        assert rx.result.stale_epoch_dropped >= 1
         # The zombie's 0xff payloads never landed: byte-identical.
-        assert bytes(receiver.buffer) == data
+        assert out.read_bytes() == data

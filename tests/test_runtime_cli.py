@@ -8,13 +8,13 @@ resume flags must be accepted by every subcommand.
 
 from __future__ import annotations
 
-import threading
+import socket
 
 import numpy as np
 import pytest
 
 from repro.runtime.cli import build_parser, main
-from repro.runtime.files import receive_file
+from repro.runtime.files import LoopbackReceiver
 
 
 class TestParser:
@@ -119,13 +119,17 @@ class TestSendRecvExitCodes:
     def test_send_to_nobody_exits_nonzero(self, tmp_path, capsys):
         src = tmp_path / "f.bin"
         src.write_bytes(b"x" * 1000)
-        rc = main(["send", str(src), "--host", "127.0.0.1",
-                   "--port", "47999", "--timeout", "2"])
+        # A port held bound but never listening: the connect is refused.
+        with socket.socket() as idle:
+            idle.bind(("127.0.0.1", 0))
+            rc = main(["send", str(src), "--host", "127.0.0.1",
+                       "--port", str(idle.getsockname()[1]),
+                       "--timeout", "2"])
         assert rc == 1
         assert "FAILED" in capsys.readouterr().err
 
     def test_recv_without_sender_exits_nonzero(self, tmp_path, capsys):
-        rc = main(["recv", "--port", "47998", "--bind", "127.0.0.1",
+        rc = main(["recv", "--port", "0", "--bind", "127.0.0.1",
                    "--output", str(tmp_path / "o.bin"), "--timeout", "1"])
         assert rc == 1
         assert "FAILED" in capsys.readouterr().err
@@ -136,24 +140,13 @@ class TestSendRecvExitCodes:
         src = tmp_path / "src.bin"
         src.write_bytes(blob)
         out = tmp_path / "out.bin"
-        ready = threading.Event()
-        recv_result = {}
-
-        def recv():
-            recv_result["r"] = receive_file(
-                str(out), 47997, bind="127.0.0.1", timeout=30, ready=ready,
-                max_attempts=3)
-
-        thread = threading.Thread(target=recv, daemon=True)
-        thread.start()
-        ready.wait(timeout=5)
-        rc = main(["send", str(src), "--host", "127.0.0.1",
-                   "--port", "47997", "--timeout", "30", "--resume",
-                   "--max-attempts", "3"])
-        thread.join(timeout=30)
+        with LoopbackReceiver(str(out), timeout=30, max_attempts=3) as rx:
+            rc = main(["send", str(src), "--host", "127.0.0.1",
+                       "--port", str(rx.port), "--timeout", "30",
+                       "--resume", "--max-attempts", "3"])
         assert rc == 0
         assert out.read_bytes() == blob
-        assert recv_result["r"].crc_ok
+        assert rx.result.crc_ok
         captured = capsys.readouterr()
         assert "send ok" in captured.out
         assert "attempts=" in captured.out

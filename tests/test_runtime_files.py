@@ -2,13 +2,12 @@
 
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
 
 from repro.core.config import FobsConfig
-from repro.runtime.files import receive_file, send_file
+from repro.runtime.files import LoopbackReceiver, send_file
 
 pytestmark = pytest.mark.loopback
 
@@ -21,85 +20,70 @@ def make_file(tmp_path, nbytes, seed=0):
     return path, data
 
 
-def run_pair(tmp_path, nbytes, port, config=None, seed=0):
+def run_pair(tmp_path, nbytes, config=None, seed=0):
     src, data = make_file(tmp_path, nbytes, seed)
     out = tmp_path / "out.bin"
-    ready = threading.Event()
-    result = {}
-
-    def recv():
-        result["recv"] = receive_file(str(out), port, bind="127.0.0.1",
-                                      ready=ready, timeout=60.0)
-
-    thread = threading.Thread(target=recv, daemon=True)
-    thread.start()
-    assert ready.wait(10)
-    result["send"] = send_file(str(src), "127.0.0.1", port,
-                               config=config, timeout=60.0)
-    thread.join(15)
-    assert not thread.is_alive()
-    return data, out, result
+    with LoopbackReceiver(str(out), timeout=60.0) as rx:
+        send = send_file(str(src), "127.0.0.1", rx.port, config=config,
+                         timeout=60.0)
+    return data, out, {"send": send, "recv": rx.result}
 
 
 class TestFileTransfer:
     def test_roundtrip_byte_exact(self, tmp_path):
-        data, out, result = run_pair(tmp_path, 300_000, port=39211)
+        data, out, result = run_pair(tmp_path, 300_000)
         assert out.read_bytes() == data
         assert result["recv"].crc_ok
         assert result["send"].nbytes == 300_000
 
     def test_small_file(self, tmp_path):
-        data, out, result = run_pair(tmp_path, 100, port=39212)
+        data, out, result = run_pair(tmp_path, 100)
         assert out.read_bytes() == data
 
     def test_odd_size_with_custom_packet(self, tmp_path):
         config = FobsConfig(packet_size=4096, ack_frequency=8)
-        data, out, result = run_pair(tmp_path, 123_457, port=39213,
-                                     config=config)
+        data, out, result = run_pair(tmp_path, 123_457, config=config)
         assert out.read_bytes() == data
 
     def test_empty_file_rejected(self, tmp_path):
         empty = tmp_path / "empty"
         empty.write_bytes(b"")
         with pytest.raises(ValueError):
-            send_file(str(empty), "127.0.0.1", 39214)
+            send_file(str(empty), "127.0.0.1", 0)
+
+    def test_send_rate_paces_the_blast(self, tmp_path):
+        """``FobsConfig.send_rate_bps`` bounds the sender's wire rate."""
+        nbytes, rate = 100_000, 4e6
+        config = FobsConfig(ack_frequency=32, send_rate_bps=rate)
+        data, out, result = run_pair(tmp_path, nbytes, config=config)
+        assert out.read_bytes() == data
+        assert result["send"].duration >= 0.8 * 8 * nbytes / rate
 
     def test_throughput_reported(self, tmp_path):
-        _, _, result = run_pair(tmp_path, 200_000, port=39215)
+        _, _, result = run_pair(tmp_path, 200_000)
         assert result["send"].throughput_bps > 0
         assert result["recv"].duration > 0
 
 
 class TestResumableFileTransfer:
-    def run_resumable(self, tmp_path, port, kill_plan=None, nbytes=300_000):
+    def run_resumable(self, tmp_path, kill_plan=None, nbytes=300_000):
         from repro.runtime.supervisor import RetryPolicy
 
         src, data = make_file(tmp_path, nbytes, seed=7)
         out = tmp_path / "out.bin"
         config = FobsConfig(ack_frequency=32, stall_timeout=0.1,
                             stall_abort_after=0.5, receiver_idle_timeout=1.5)
-        ready = threading.Event()
-        result = {}
-
-        def recv():
-            result["recv"] = receive_file(str(out), port, bind="127.0.0.1",
-                                          ready=ready, timeout=60.0,
-                                          max_attempts=3, config=config)
-
-        thread = threading.Thread(target=recv, daemon=True)
-        thread.start()
-        assert ready.wait(10)
-        result["send"] = send_file(
-            str(src), "127.0.0.1", port, config=config, timeout=60.0,
-            max_attempts=3, kill_plan=kill_plan,
-            policy=RetryPolicy(max_attempts=3, backoff_base=0.05,
-                               jitter=0.0))
-        thread.join(30)
-        assert not thread.is_alive()
-        return data, out, result
+        with LoopbackReceiver(str(out), timeout=60.0, max_attempts=3,
+                              config=config) as rx:
+            send = send_file(
+                str(src), "127.0.0.1", rx.port, config=config, timeout=60.0,
+                max_attempts=3, kill_plan=kill_plan,
+                policy=RetryPolicy(max_attempts=3, backoff_base=0.05,
+                                   jitter=0.0))
+        return data, out, {"send": send, "recv": rx.result}
 
     def test_clean_resumable_session(self, tmp_path):
-        data, out, result = self.run_resumable(tmp_path, port=39217)
+        data, out, result = self.run_resumable(tmp_path)
         assert out.read_bytes() == data
         assert result["send"].completed and result["send"].attempts == 1
         assert result["recv"].crc_ok and result["recv"].attempts == 1
@@ -111,8 +95,7 @@ class TestResumableFileTransfer:
         from repro.simnet.faults import KillSwitch
 
         kill_plan = {0: KillSwitch(target="sender", after_packets=100)}
-        data, out, result = self.run_resumable(tmp_path, port=39218,
-                                               kill_plan=kill_plan)
+        data, out, result = self.run_resumable(tmp_path, kill_plan=kill_plan)
         send, recv = result["send"], result["recv"]
         assert out.read_bytes() == data
         assert send.completed and send.attempts == 2
@@ -135,24 +118,16 @@ class TestResumableFileTransfer:
         out = tmp_path / "dead.bin"
         config = FobsConfig(ack_frequency=32, stall_timeout=0.1,
                             stall_abort_after=0.5, receiver_idle_timeout=1.0)
-        ready = threading.Event()
-        result = {}
-
-        def recv():
-            result["recv"] = receive_file(str(out), 39219, bind="127.0.0.1",
-                                          ready=ready, timeout=15.0,
-                                          max_attempts=3, config=config)
-
-        thread = threading.Thread(target=recv, daemon=True)
-        thread.start()
-        assert ready.wait(10)
         from repro.runtime.supervisor import RetryPolicy
 
-        send = send_file(str(src), "127.0.0.1", 39219, config=config,
-                         timeout=15.0, max_attempts=3, kill_plan=kill_plan,
-                         policy=RetryPolicy(max_attempts=3, backoff_base=0.05,
-                                            jitter=0.0))
-        thread.join(30)
+        with LoopbackReceiver(str(out), timeout=15.0, max_attempts=3,
+                              config=config) as rx:
+            send = send_file(str(src), "127.0.0.1", rx.port, config=config,
+                             timeout=15.0, max_attempts=3,
+                             kill_plan=kill_plan,
+                             policy=RetryPolicy(max_attempts=3,
+                                                backoff_base=0.05,
+                                                jitter=0.0))
         assert not send.completed
         assert send.attempts == 3
         assert "killed by crash injection" in send.failure_reason
@@ -164,32 +139,29 @@ class TestResumableFileTransfer:
 class TestCliProcesses:
     def test_two_process_transfer(self, tmp_path):
         """End-to-end: receiver and sender as separate OS processes."""
-        import time
-
         src, data = make_file(tmp_path, 200_000, seed=3)
         out = tmp_path / "cli_out.bin"
-        port = 39216
         recv_proc = subprocess.Popen(
             [sys.executable, "-m", "repro.runtime.cli", "recv",
-             "--port", str(port), "--output", str(out), "--bind", "127.0.0.1",
+             "--port", "0", "--output", str(out), "--bind", "127.0.0.1",
              "--timeout", "60"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
-            # The sender retries while the receiver's listener comes up.
-            deadline = time.monotonic() + 20
-            send = None
-            while time.monotonic() < deadline:
-                send = subprocess.run(
-                    [sys.executable, "-m", "repro.runtime.cli", "send",
-                     str(src), "--host", "127.0.0.1", "--port", str(port),
-                     "--timeout", "60"],
-                    capture_output=True, text=True, timeout=90,
-                )
-                if send.returncode == 0 or "Connection refused" not in send.stderr:
-                    break
-                time.sleep(0.2)
-            assert send is not None and send.returncode == 0, send.stderr
+            # The receiver reports the port the kernel picked once its
+            # listener is up.
+            banner = ""
+            while not banner.startswith("listening on 127.0.0.1:"):
+                banner = recv_proc.stderr.readline()
+                assert banner, "receiver exited before listening"
+            port = banner.rsplit(":", 1)[1].strip()
+            send = subprocess.run(
+                [sys.executable, "-m", "repro.runtime.cli", "send",
+                 str(src), "--host", "127.0.0.1", "--port", port,
+                 "--timeout", "60"],
+                capture_output=True, text=True, timeout=90,
+            )
+            assert send.returncode == 0, send.stderr
             assert "send ok" in send.stdout
             assert "throughput_mbps=" in send.stdout
             stdout, stderr = recv_proc.communicate(timeout=30)
